@@ -1,0 +1,5 @@
+"""The repository benchmark: wall-clock workloads through the public client API.
+
+``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s> --trace <0|1>``
+runs one workload and prints its metrics; see ``perfbench/README.md``.
+"""
