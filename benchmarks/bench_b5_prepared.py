@@ -34,7 +34,9 @@ import time
 from _util import emit_bench
 from common import print_header, print_table
 
+import repro
 from repro import Prima
+from repro.serve import SessionManager
 
 N_ITEMS = 4_000
 REPEAT = 1_000
@@ -136,9 +138,9 @@ def run_cached_text(db: Prima, repeat: int = REPEAT,
 
 def run_serving(db: Prima, repeat: int = 200) -> dict[str, object]:
     """EXECUTE_PREPARED vs re-shipped OPEN: request bytes per execute."""
-    manager = db.serve()
-    session = manager.open("bench")
-    stmt = session.prepare(QUERY)
+    manager = SessionManager(db)
+    conn = repro.connect(manager, name="bench")
+    stmt = conn.prepare(QUERY)
     stmt.execute(0, 5).materialize()          # warm the statement handle
     before = manager.stats.snapshot()["bytes_sent"]
     for i in range(repeat):
@@ -146,9 +148,9 @@ def run_serving(db: Prima, repeat: int = 200) -> dict[str, object]:
     prepared_bytes = manager.stats.snapshot()["bytes_sent"] - before
     before = manager.stats.snapshot()["bytes_sent"]
     for i in range(repeat):
-        session.query(QUERY, args=(i % N_ITEMS, 5)).materialize()
+        conn.query(QUERY, args=(i % N_ITEMS, 5)).materialize()
     open_bytes = manager.stats.snapshot()["bytes_sent"] - before
-    session.close()
+    conn.close()
     return {
         "repeat": repeat,
         "execute_prepared_bytes": prepared_bytes,

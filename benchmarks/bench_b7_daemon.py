@@ -36,6 +36,7 @@ import time
 from _util import emit_bench
 from common import print_header, print_table
 
+import repro
 from repro import Prima
 from repro.serve import PrimaDaemon, ServeLoop, SessionManager, protocol
 
@@ -125,8 +126,8 @@ def daemon_vs_thread_loop(db: Prima,
     manager = SessionManager(db, max_sessions=clients, admission="queue")
 
     def job(group: int):
-        def run(session):
-            result = session.query(
+        def run(conn):
+            result = conn.query(
                 f"SELECT ALL FROM item WHERE grp = {group % GROUPS}",
                 fetch_size=FETCH_SIZE)
             return len([m for m in result])
@@ -174,10 +175,10 @@ def auto_tuning(db: Prima, regressions: list[str]) -> dict[str, object]:
 
     def stream(fetch_size) -> tuple[float, int, int]:
         manager = SessionManager(db, default_fetch_size=fetch_size)
-        session = manager.open(name="bench")
-        cursor = session.open_cursor(query)
+        conn = repro.connect(manager, name="bench")
+        cursor = conn.cursor(query)
         rows = len([m for m in cursor])
-        session.close()
+        conn.close()
         report = manager.io_report()
         return (report["net_comm_time_ms"], report["net_messages"],
                 cursor.fetch_size), rows

@@ -98,10 +98,10 @@ def routed_lookup_gate(regressions: list[str]) -> dict[str, object]:
 def _session_job(group: int):
     """One serving session: a scatter group stream plus a spray of
     routed point lookups."""
-    def run(session) -> int:
-        rows = len([m for m in session.query(
+    def run(conn) -> int:
+        rows = len([m for m in conn.query(
             f"SELECT ALL FROM item WHERE grp = {group % GROUPS}")])
-        stmt = session.prepare("SELECT ALL FROM item WHERE n = ?")
+        stmt = conn.prepare("SELECT ALL FROM item WHERE n = ?")
         for i in range(LOOKUPS_PER_SESSION):
             rows += len(stmt.execute((group * LOOKUPS_PER_SESSION + i)
                                      % N_ITEMS).materialize())

@@ -1,9 +1,9 @@
-"""Setuptools shim for offline editable installs (``pip install -e .``).
+"""Setuptools configuration: all package metadata lives in this file.
 
-The execution environment has no network and no ``wheel`` package, which
-breaks PEP 660 editable builds; the classic ``setup.py develop`` path used
-by pip for projects with a ``setup.py`` works without it.  All metadata
-lives in pyproject.toml.
+There is no ``pyproject.toml``.  A classic ``setup.py`` keeps editable
+installs (``pip install -e .``) working offline and without the
+``wheel`` package: pip falls back to ``setup.py develop``, which needs
+no PEP 660 build backend.
 """
 
 from setuptools import find_packages, setup

@@ -8,10 +8,10 @@ Grows the paper's workstation–server coupling into a serving subsystem:
   EXECUTE_PREPARED, EXECUTE, EXPLAIN, CHECKIN, HELLO / PING / GOODBYE)
   plus the one codec that frames them and bills them against the
   network cost model — identically on every transport;
-* :class:`SessionManager` / :class:`Session` — many concurrent client
-  sessions (own transaction/lock scope, counters, admission control,
-  idle/lease resource hygiene) multiplexed onto one
-  :class:`~repro.db.Prima`; :meth:`Session.handle` is the
+* :class:`SessionManager` / :class:`Session` — the server half: many
+  concurrent client sessions (own transaction/lock scope, counters,
+  admission control, idle/lease resource hygiene) multiplexed onto one
+  :class:`~repro.db.Prima`; :meth:`Session.handle` is the one
   transport-agnostic dispatch;
 * :class:`RemoteCursor` — lazy result-set pipelines streamed in
   fetch-size batches with double-buffered prefetch (and optional
@@ -19,24 +19,25 @@ Grows the paper's workstation–server coupling into a serving subsystem:
 * :class:`~repro.serve.daemon.PrimaDaemon` — the asyncio event-loop
   transport: many clients over a socket from a single thread, bounded
   send queues for backpressure;
-* :class:`ServeLoop` — the synchronous thread-per-session transport for
-  in-process job batches;
-* :func:`connect` / :class:`Connection` — the one client entry point,
-  identical over the in-process and daemon-socket transports.
+* :class:`ServeLoop` — the synchronous thread-per-session driver for
+  in-process job batches, one :class:`Connection` per job;
+* :func:`connect` / :class:`Connection` — the one client API (with
+  :class:`RemotePreparedStatement`), identical over the in-process and
+  daemon-socket transports.
 """
 
 from repro.errors import ServeError
 from repro.serve import protocol
-from repro.serve.connection import Connection, connect
+from repro.serve.connection import (
+    DEFAULT_FETCH_SIZE,
+    Connection,
+    RemotePreparedStatement,
+    connect,
+)
 from repro.serve.cursor import RemoteCursor, ServerCursor
 from repro.serve.daemon import PrimaDaemon, serve_daemon
 from repro.serve.loop import ServeLoop
-from repro.serve.session import (
-    DEFAULT_FETCH_SIZE,
-    RemotePreparedStatement,
-    Session,
-    SessionManager,
-)
+from repro.serve.session import Session, SessionManager
 
 __all__ = [
     "Connection",

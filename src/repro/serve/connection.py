@@ -1,12 +1,11 @@
 """One client API over every transport: :func:`connect` and
 :class:`Connection`.
 
-The serving layer grew three generations of entry points — direct
-:class:`~repro.serve.SessionManager` construction, ``Prima.serve()``,
-and the coupling façades — each exposing a slightly different client
-surface.  This module collapses them: :func:`connect` takes *anything
-serveable* (nothing, a :class:`~repro.db.Prima`, a manager, a daemon, a
-``host:port`` address) and returns a :class:`Connection` whose API is
+This is the only client surface of the serving layer — the coupling
+façades, the serve loop and every in-process caller speak through it.
+:func:`connect` takes *anything serveable* (nothing, a
+:class:`~repro.db.Prima`, a manager, a daemon, a ``host:port``
+address) and returns a :class:`Connection` whose API is
 **identical regardless of transport**, because every method is one typed
 request of :mod:`repro.serve.protocol` pushed through a transport:
 
@@ -49,18 +48,26 @@ from collections import deque
 from typing import Any, Callable
 
 from repro.data.result import ResultSet
-from repro.errors import ProtocolError, SessionError
+from repro.errors import ProtocolError, SessionError, SessionStateError
 from repro.mad.molecule import Molecule
 from repro.mad.types import Surrogate
 from repro.serve import protocol
 from repro.serve.cursor import RemoteCursor
-from repro.serve.session import (
-    DEFAULT_FETCH_SIZE,
-    RemotePreparedStatement,
-    Session,
-    SessionManager,
-    _wire_fetch_size,
-)
+from repro.serve.session import Session, SessionManager
+
+#: Sentinel: "use the server's default fetch size" — callers that
+#: want to defer the batching decision to the server's knob pass
+#: this instead of an explicit size/None.  On the wire it travels as
+#: the string ``"default"`` (sentinel identity does not survive
+#: serialisation).
+DEFAULT_FETCH_SIZE = object()
+
+
+def _wire_fetch_size(fetch_size: Any) -> int | str | None:
+    """Map the client-side sentinel to its wire representation."""
+    if fetch_size is DEFAULT_FETCH_SIZE:
+        return protocol.DEFAULT_FETCH_SIZE_WIRE
+    return fetch_size
 
 
 class LocalTransport:
@@ -74,6 +81,20 @@ class LocalTransport:
 
     def request(self, message: protocol.Request) -> protocol.Response:
         return self.session.handle(message)
+
+    def poll_notifications(self, timeout: float = 0.0,
+                           ) -> list[protocol.Notify]:
+        """Drain the session's NOTIFY queue, waiting up to ``timeout``
+        seconds for the first frame.  Each poll first flushes coalesced
+        deltas that left their re-notify window (in process there is no
+        daemon tick to do it)."""
+        deadline = time.monotonic() + max(timeout, 0.0)
+        while True:
+            self.session.manager.pump_live()
+            out = self.session.pop_notifications()
+            if out or time.monotonic() >= deadline:
+                return out
+            time.sleep(0.002)
 
     def close(self) -> None:
         """Nothing to release: the session owns the resources."""
@@ -202,9 +223,10 @@ class Connection:
       the one-message-pair application of buffered modifications;
     * :meth:`ping` — keepalive, refreshing the session lease.
 
-    ``close(abort=True)`` rolls the session's transaction back instead
-    of committing it; the context manager does this automatically when
-    the body raises.
+    ``close()`` is itself one GOODBYE message pair, billed like any
+    other on every transport; ``close(abort=True)`` rolls the session's
+    transaction back instead of committing it, which the context manager
+    does automatically when the body raises.
     """
 
     def __init__(self, transport, name: str,
@@ -356,28 +378,11 @@ class Connection:
     def notifications(self, timeout: float = 0.0,
                       ) -> list[protocol.Notify]:
         """Drain pending NOTIFY frames (waiting up to ``timeout``
-        seconds for the first one), in arrival order.
-
-        Over a socket this skims the daemon's pushes off the byte
-        stream; in process it drains the session's notification queue —
-        identical frame contents either way (the parity the live-query
-        tests assert)."""
+        seconds for the first one), in arrival order — identical frame
+        contents on every transport (the parity the live-query tests
+        assert)."""
         self._require_open()
-        poll = getattr(self._transport, "poll_notifications", None)
-        if poll is not None:
-            return poll(timeout)
-        deadline = time.monotonic() + max(timeout, 0.0)
-        while True:
-            if self.manager is not None:
-                # Flush throttled/coalesced deltas that have left their
-                # re-notify window (in process there is no daemon tick).
-                live = self.manager._live  # noqa: SLF001
-                if live is not None:
-                    live.pump()
-            out = self.session.pop_notifications()
-            if out or time.monotonic() >= deadline:
-                return out
-            time.sleep(0.002)
+        return self._transport.poll_notifications(timeout)
 
     # -- connection management -----------------------------------------------
 
@@ -419,6 +424,90 @@ class Connection:
         transport = type(self._transport).__name__
         state = "closed" if self._closed else "open"
         return f"Connection({self.name!r}, {state}, {transport})"
+
+
+class RemotePreparedStatement:
+    """The client half of a server-side prepared statement.
+
+    Created from the :class:`~repro.serve.protocol.PrepareReply` of a
+    PREPARE exchange — the statement text shipped once; this handle
+    re-executes it with fresh bindings over EXECUTE_PREPARED messages
+    that carry only the statement id and the parameter values.  SELECT
+    handles stream their result through the ordinary remote-cursor
+    machinery (first batch in the response, double-buffered prefetch,
+    the full client cursor contract); DML handles execute under the
+    session's subtransaction lock discipline.  Like the cursor, the
+    handle is transport-agnostic: it speaks protocol dataclasses through
+    whatever transport created it.
+    """
+
+    def __init__(self, transport, reply: protocol.PrepareReply) -> None:
+        self._transport = transport
+        self.statement_id = reply.statement_id
+        self.text = reply.text
+        self.kind = reply.kind
+        self.param_count = reply.param_count
+        self.param_names = reply.param_names
+        self._closed = False
+
+    def _require_open(self) -> None:
+        if self._closed:
+            raise SessionStateError(
+                f"prepared statement #{self.statement_id} is deallocated"
+            )
+
+    def open_cursor(self, *args: Any,
+                    fetch_size: Any = DEFAULT_FETCH_SIZE,
+                    on_arrival: Callable[[Molecule], None] | None = None,
+                    **params: Any) -> RemoteCursor:
+        """EXECUTE_PREPARED: a streaming cursor over one execution."""
+        self._require_open()
+        if self.kind != "select":
+            raise SessionStateError(
+                "remote cursors serve SELECT statements only "
+                "(use execute() for DML)"
+            )
+        reply = self._transport.request(protocol.ExecutePrepared(
+            self.statement_id, args, params or None,
+            _wire_fetch_size(fetch_size)))
+        return RemoteCursor(self._transport, reply, on_arrival=on_arrival)
+
+    def execute(self, *args: Any, fetch_size: Any = DEFAULT_FETCH_SIZE,
+                on_arrival: Callable[[Molecule], None] | None = None,
+                **params: Any) -> ResultSet:
+        """Re-execute with fresh bindings (no text, no re-plan).
+
+        SELECTs return the usual lazy :class:`ResultSet` over a remote
+        cursor; DML returns its outcome set.
+        """
+        self._require_open()
+        if self.kind != "select":
+            reply = self._transport.request(protocol.ExecutePrepared(
+                self.statement_id, args, params or None, None))
+            return ResultSet(molecules=reply.molecules,
+                             affected=reply.affected,
+                             inserted=reply.inserted)
+        cursor = self.open_cursor(*args, fetch_size=fetch_size,
+                                  on_arrival=on_arrival, **params)
+        return ResultSet(source=cursor, plan_text=cursor.plan_text)
+
+    def close(self) -> None:
+        """DEALLOCATE the server-side handle (idempotent)."""
+        if self._closed:
+            return
+        self._closed = True
+        self._transport.request(protocol.Deallocate(self.statement_id))
+
+    def __enter__(self) -> "RemotePreparedStatement":
+        return self
+
+    def __exit__(self, _exc_type, _exc, _tb) -> None:
+        self.close()
+
+    def __repr__(self) -> str:
+        state = "deallocated" if self._closed else "prepared"
+        return (f"RemotePreparedStatement(#{self.statement_id}, {state}, "
+                f"{self.text!r})")
 
 
 class LiveSubscription:
@@ -517,7 +606,7 @@ def connect(target: Any = None, *, name: str | None = None,
       :class:`SessionManager` is reused (so several ``connect(db)``
       calls share one admission domain); otherwise a new manager is
       created with ``options`` as its knobs (``max_sessions``,
-      ``admission``, ``fetch_size``, ``idle_cursor_timeout``,
+      ``admission``, ``default_fetch_size``, ``idle_cursor_timeout``,
       ``session_lease``, ... — see :class:`SessionManager`).
     * a :class:`SessionManager` — open one more session on it.
     * a :class:`~repro.serve.daemon.PrimaDaemon` — a socket connection
@@ -529,10 +618,8 @@ def connect(target: Any = None, *, name: str | None = None,
       identical (``Welcome.shards`` reports the count).
 
     ``name`` labels the session (``io_report`` keys, lock diagnostics).
-
-    This façade supersedes direct ``SessionManager(...)`` construction
-    and ``Prima.serve(...)`` as the client entry point — both remain as
-    thin shims for the server-side plumbing they still provide.
+    Manager knobs apply only where a manager is built here; passing
+    them with a manager or a daemon raises :class:`ValueError`.
     """
     from repro.db import Prima
 
@@ -563,17 +650,21 @@ def connect(target: Any = None, *, name: str | None = None,
         return _session_connection(target.open(name=name, timeout=timeout),
                                    manager=target)
     if isinstance(target, tuple) and len(target) == 2:
-        host, port = target
-        return _socket_connection(host, int(port), name, timeout)
-    if isinstance(target, str):
-        host, port = _parse_address(target)
-        return _socket_connection(host, port, name, timeout)
-    address = getattr(target, "address", None)   # PrimaDaemon duck type
-    if address is not None and not options:
-        host, port = address
-        return _socket_connection(host, port, name, timeout)
-    raise TypeError(
-        f"cannot connect to {type(target).__name__!r} — expected None, "
-        f"Prima, SessionManager, PrimaDaemon, 'prima://host:port', or "
-        f"(host, port)"
-    )
+        address = target
+    elif isinstance(target, str):
+        address = _parse_address(target)
+    else:
+        address = getattr(target, "address", None)   # PrimaDaemon duck type
+    if address is None:
+        raise TypeError(
+            f"cannot connect to {type(target).__name__!r} — expected None, "
+            f"Prima, SessionManager, PrimaDaemon, 'prima://host:port', or "
+            f"(host, port)"
+        )
+    if options:
+        raise ValueError(
+            "manager knobs cannot be set over a socket connection (the "
+            f"daemon's manager is already built): {sorted(options)}"
+        )
+    host, port = address
+    return _socket_connection(host, int(port), name, timeout)

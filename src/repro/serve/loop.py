@@ -1,16 +1,17 @@
 """The serve loop: many client jobs interleaved over one server.
 
 ``ServeLoop.run(jobs)`` plays the role of the server's dispatcher: every
-job is a callable receiving its own freshly opened :class:`Session`, runs
-on its own thread (capped by ``max_threads``), and its session is closed
-— releasing cursors, locks and the admission slot — when the job
-returns or raises.  Results come back **in job order**, so the outcome
+job is a callable receiving its own freshly opened in-process
+:class:`~repro.serve.connection.Connection`, runs on its own thread
+(capped by ``max_threads``), and its connection is closed — releasing
+cursors, locks and the admission slot — when the job returns or
+raises.  Results come back **in job order**, so the outcome
 is deterministic regardless of thread interleaving: sessions share the
 engine at message granularity (the manager's engine lock), but each
 session's cursor stream is private and ordered.
 
-This is the synchronous, thread-per-session transport; the ROADMAP lists
-an async/event-loop transport as the follow-up it prepares for.
+This is the synchronous thread-per-session driver; the asyncio daemon
+(:mod:`repro.serve.daemon`) serves many clients from one thread.
 """
 
 from __future__ import annotations
@@ -19,13 +20,14 @@ import threading
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.errors import ServeError
+from repro.serve.connection import Connection, connect
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.serve.session import Session, SessionManager
+    from repro.serve.session import SessionManager
 
 
 class ServeLoop:
-    """Run client jobs concurrently, one session per job."""
+    """Run client jobs concurrently, one connection per job."""
 
     def __init__(self, manager: "SessionManager",
                  max_threads: int | None = None) -> None:
@@ -34,18 +36,19 @@ class ServeLoop:
         self.manager = manager
         self.max_threads = max_threads
 
-    def run(self, jobs: Sequence[Callable[["Session"], Any]],
+    def run(self, jobs: Sequence[Callable[[Connection], Any]],
             names: Sequence[str] | None = None) -> list[Any]:
-        """Execute every job against its own session; results in job order.
+        """Execute every job against its own connection; results in job
+        order.
 
         Jobs are distributed round-robin over at most ``max_threads``
-        threads (default: one thread per job).  Each thread opens its
-        session *inside* the job loop, so admission control applies: with
+        threads (default: one thread per job).  Each thread connects
+        *inside* the job loop, so admission control applies: with
         ``admission='queue'`` a loop wider than ``max_sessions`` simply
         waits for slots; with ``'reject'`` it surfaces
         :class:`~repro.errors.SessionLimitError` like any other job
         failure.  Failures are collected from *every* thread (their
-        sessions are always closed): one failing job re-raises its
+        connections are always closed): one failing job re-raises its
         exception directly, several raise a
         :class:`~repro.errors.ServeError` aggregating all of them in
         deterministic job order — concurrent failures are no longer
@@ -62,16 +65,16 @@ class ServeLoop:
 
         def drive(assigned: list[int]) -> None:
             for index in assigned:
-                session = None
+                conn = None
                 try:
                     label = names[index] if names is not None else None
-                    session = self.manager.open(name=label)
-                    results[index] = jobs[index](session)
+                    conn = connect(self.manager, name=label)
+                    results[index] = jobs[index](conn)
                 except BaseException as exc:  # noqa: BLE001 - reraised below
                     failures.append((index, exc))
                 finally:
-                    if session is not None and not session.closed:
-                        session.close()
+                    if conn is not None:
+                        conn.close()
 
         threads = [
             threading.Thread(target=drive,

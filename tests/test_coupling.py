@@ -207,3 +207,39 @@ class TestLocalCreation:
         before = server.stats.messages
         station.commit()
         assert server.stats.messages == before + 2
+
+
+class TestA9MessageCounts:
+    """The figures benchmark A9 prints (section 4), pinned: the
+    set-oriented MAD interface ships a molecule set in one message
+    pair, the record-at-a-time baseline pays one round trip per atom."""
+
+    @pytest.mark.parametrize("n_solids, query, record_messages", [
+        (2, QUERY, 116),
+        (4, "SELECT ALL FROM brep-face-edge-point", 922),
+        (8, "SELECT ALL FROM brep-face-edge-point", 3698),
+    ])
+    def test_set_vs_record_at_a_time(self, n_solids, query,
+                                     record_messages):
+        db = Prima()
+        brep.generate(db, n_solids=n_solids)
+        set_server = PrimaServer(db)
+        Workstation(set_server).checkout(query)
+        record_server = PrimaServer(db)
+        Workstation(record_server).checkout(query, set_oriented=False)
+        assert set_server.stats.messages == 2
+        assert record_server.stats.messages == record_messages
+
+    def test_local_work_then_checkin(self):
+        db = Prima()
+        brep.generate(db, n_solids=4)
+        server = PrimaServer(db)
+        station = Workstation(server)
+        molecule = station.checkout(QUERY)[0]
+        before = server.stats.messages
+        for edge in molecule.component_list("face")[0].component_list("edge"):
+            station.read(edge.surrogate)
+            station.modify(edge.surrogate, {"length": 1.5})
+        assert server.stats.messages - before == 0
+        assert station.commit() == 4
+        assert server.stats.messages - before == 2

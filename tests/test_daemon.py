@@ -123,6 +123,21 @@ class TestConnect:
         with pytest.raises(ValueError, match="knobs"):
             repro.connect(manager, max_sessions=5)
 
+    def test_default_fetch_size_knob(self, db):
+        with repro.connect(db, default_fetch_size=8) as conn:
+            assert conn.default_fetch_size == 8
+        with repro.connect(default_fetch_size=8) as conn:
+            assert conn.default_fetch_size == 8
+
+    def test_daemon_target_rejects_knobs(self, db):
+        manager = SessionManager(db)
+        with PrimaDaemon(manager) as daemon:
+            with pytest.raises(ValueError, match="max_sessions"):
+                repro.connect(daemon, max_sessions=2)
+            with pytest.raises(ValueError, match="max_sessions"):
+                repro.connect(daemon.address, max_sessions=2)
+        assert manager.active_sessions == 0
+
     def test_rejects_unknown_target(self):
         with pytest.raises(TypeError, match="cannot connect"):
             repro.connect(42)
@@ -521,13 +536,13 @@ class TestServeLoopFailures:
         manager = SessionManager(db, max_sessions=4)
         loop = ServeLoop(manager)
 
-        def ok(session):
-            return len(list(session.query("SELECT ALL FROM item")))
+        def ok(conn):
+            return len(list(conn.query("SELECT ALL FROM item")))
 
-        def bad_value(session):
+        def bad_value(conn):
             raise ValueError("job one broke")
 
-        def bad_key(session):
+        def bad_key(conn):
             raise KeyError("job three broke")
 
         with pytest.raises(ServeError) as info:
