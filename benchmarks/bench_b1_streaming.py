@@ -9,7 +9,11 @@ constructions.  This bench measures both effects on the BREP database:
 * time to the first molecule vs. time to the full result, for the
   pipelined cursor and for an (emulated) eager execution;
 * atoms read / molecules constructed for ``LIMIT k`` vs. the full scan,
-  straight from the access counters.
+  straight from the access counters;
+* records decoded by the full result, from a cold buffer, against the
+  distinct atoms in it: each record is decoded once per page residency,
+  so the first may not exceed the second (a REGRESSIONS marker
+  otherwise).
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import time
 from _util import counter_snapshot, emit_bench
 from common import (
     brep_database,
+    cold_buffer,
     operator_timings,
     print_header,
     print_table,
@@ -95,6 +100,20 @@ def report(n_solids: int = 24) -> None:
     db = brep_database(n_solids).db
     _, drained_report = counter_snapshot(
         db, lambda: db.query(QUERY).materialize())
+    # Dropping the buffered pages drops their decoded-record memos too.
+    cold_buffer(db)
+    molecules, cold_report = counter_snapshot(
+        db, lambda: db.query(QUERY).materialize())
+    decoded = cold_report.get("records_decoded", 0)
+    distinct = len({atom_id for molecule in molecules
+                    for atom_id in _atom_ids(molecule)})
+    print()
+    print(f"full result from a cold buffer: {decoded} records decoded "
+          f"for {distinct} distinct atoms")
+    regressions = []
+    if decoded > distinct:
+        regressions.append(f"full result decoded {decoded} records for "
+                           f"{distinct} distinct atoms")
     emit_bench("bench_b1_streaming", {
         "bench": "b1_streaming",
         "query": QUERY,
@@ -109,7 +128,18 @@ def report(n_solids: int = 24) -> None:
             for row in counter_rows
         ],
         "operator_time_ms_full_result": operator_timings(drained_report),
-    }, db=db)
+        "records_decoded_full_result": decoded,
+        "distinct_atoms_full_result": distinct,
+    }, db=db, regressions=regressions)
+
+
+def _atom_ids(molecule) -> list:
+    """Identity of every atom occurrence in a molecule (surrogates)."""
+    ids = [molecule.surrogate]
+    for components in molecule.components.values():
+        for component in components:
+            ids.extend(_atom_ids(component))
+    return ids
 
 
 def test_limit_reads_less() -> None:

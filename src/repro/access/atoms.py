@@ -11,6 +11,15 @@ The atom manager also drives the registered tuning structures (access
 paths, sort orders, partitions, atom clusters): inserts and deletes update
 them immediately; modifies rewrite only the base record and defer the rest
 (deferred update).
+
+**Reads decode each record once.**  Base records are decoded through the
+decoded-record memo of their resident page (:mod:`repro.storage.page`),
+so repeated reads of a resident, unchanged atom — the normal case when
+molecules over n:m associations share atoms — cost a copy, not a decode.
+Every memo miss bumps ``records_decoded``.  Every read hands the caller a
+dict of its own, nested reference lists included
+(:func:`~repro.access.encoding.copy_values`): callers such as the
+workstation update atoms in place, and that must never reach the memo.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from repro.access.address import (
 )
 from repro.access.container import RecordContainer
 from repro.access.deferred import DeferredUpdateManager
-from repro.access.encoding import decode_atom, encode_atom
+from repro.access.encoding import copy_values, decode_atom, encode_atom
 from repro.access.structure import StorageStructure
 from repro.errors import (
     AtomNotFoundError,
@@ -253,53 +262,62 @@ class AtomManager:
 
     # ------------------------------------------------------------------- reads --
 
-    def get(self, surrogate: Surrogate,
-            attrs: list[str] | None = None) -> dict[str, Any]:
+    def get(self, surrogate: Surrogate, attrs: list[str] | None = None,
+            *, sized: bool = False) -> Any:
         """Read an atom — whole or only selected attributes.
 
         The physical record with minimum access cost serves the read: a
         fresh partition covering the requested attributes wins over the
-        (larger) base record.
+        (larger) base record.  The returned dict belongs to the caller.
+        ``sized=True`` returns ``(values, length)`` instead, where
+        ``length`` is the byte length of the base record for a whole-atom
+        read — equal to ``encoded_size(values)``, the modelled wire size
+        of the unprojected atom — and None for an attribute subset.
         """
         atom_type = self.schema.atom_type(surrogate.atom_type)
         if not self.addresses.exists(surrogate):
             raise AtomNotFoundError(f"no atom with logical address {surrogate}")
         self.counters.bump("atoms_read")
-        if attrs is not None:
-            unknown = set(attrs) - set(atom_type.attributes)
-            if unknown:
-                raise AtomNotFoundError(
-                    f"atom type {atom_type.name!r} has no attributes "
-                    f"{sorted(unknown)}"
-                )
-            for partition in self.structures_for(surrogate.atom_type,
-                                                 "partition"):
-                if partition.covers(attrs):                # type: ignore[attr-defined]
-                    copy = partition.read(surrogate)       # type: ignore[attr-defined]
-                    if copy is not None:
-                        self.counters.bump("reads_from_partition")
-                        out = {atom_type.identifier_attr: surrogate}
-                        for attr in attrs:
-                            out[attr] = copy.get(attr)
-                        return out
-        values = self._read_base_values(surrogate)
+        size = None
         if attrs is None:
-            return values
+            values, size = self._read_base(surrogate)
+            out = copy_values(values)
+        else:
+            out = self._read_attrs(atom_type, surrogate, attrs)
+        return (out, size) if sized else out
+
+    def _read_attrs(self, atom_type: AtomType, surrogate: Surrogate,
+                    attrs: list[str]) -> dict[str, Any]:
+        unknown = set(attrs) - set(atom_type.attributes)
+        if unknown:
+            raise AtomNotFoundError(
+                f"atom type {atom_type.name!r} has no attributes "
+                f"{sorted(unknown)}"
+            )
         out = {atom_type.identifier_attr: surrogate}
+        for partition in self.structures_for(surrogate.atom_type,
+                                             "partition"):
+            if partition.covers(attrs):                # type: ignore[attr-defined]
+                copy = partition.read(surrogate)       # type: ignore[attr-defined]
+                if copy is not None:
+                    self.counters.bump("reads_from_partition")
+                    for attr in attrs:
+                        out[attr] = copy.get(attr)
+                    return out
+        values = self._read_base(surrogate)[0]
         for attr in attrs:
             out[attr] = values.get(attr)
-        return out
+        return copy_values(out)
 
     def exists(self, surrogate: Surrogate) -> bool:
         return self.addresses.exists(surrogate)
 
     def atoms_of_type(self, type_name: str) -> Iterator[tuple[Surrogate, dict[str, Any]]]:
         """All atoms of a type in system-defined (physical) order."""
-        atom_type = self.schema.atom_type(type_name)
+        identifier = self.schema.atom_type(type_name).identifier_attr
         container = self._container(type_name)
-        for _record_id, payload in container.scan():
-            values = decode_atom(payload)
-            yield values[atom_type.identifier_attr], values
+        for _record_id, values, _size in container.scan(self._decode):
+            yield values[identifier], copy_values(values)
 
     def count(self, type_name: str) -> int:
         return self.addresses.count(type_name)
@@ -556,10 +574,20 @@ class AtomManager:
     # --------------------------------------------------------- record plumbing --
 
     def _read_base_values(self, surrogate: Surrogate) -> dict[str, Any]:
+        return copy_values(self._read_base(surrogate)[0])
+
+    def _read_base(self, surrogate: Surrogate) -> tuple[dict[str, Any], int]:
+        """The base record's decoded values (shared with the page memo —
+        never mutate them) and its byte length."""
         placement = self.addresses.placement(surrogate, BASE_STRUCTURE)
         if placement is None:
             raise AtomNotFoundError(f"no atom with logical address {surrogate}")
-        payload = self._container(surrogate.atom_type).read(placement.record)
+        return self._container(surrogate.atom_type).read_values(
+            placement.record, self._decode)
+
+    def _decode(self, payload: bytes) -> dict[str, Any]:
+        """Decode one base record (a memo miss)."""
+        self.counters.bump("records_decoded")
         return decode_atom(payload)
 
     def _write_base(self, surrogate: Surrogate,

@@ -11,16 +11,27 @@ images" (paper, 3.3) — are routed onto *page sequences* transparently: the
 slotted page keeps a small stub, the bytes live on the sequence, and every
 container operation (read, update, delete, scan) resolves the indirection,
 so callers never see the difference.
+
+**Decoded reads.**  :meth:`RecordContainer.read_values` and
+:meth:`RecordContainer.scan` hand out ``(decoded record, record length)``
+pairs.  The decoder is the caller's, one per container, because the
+page's decoded-record memo (:meth:`repro.storage.page.Page.decoded`) is
+keyed by slot alone.  The memo is asked inside the same fix/unfix a byte
+read makes, so buffer accounting is that of :meth:`RecordContainer.read`,
+and a record is decoded once for as long as its page stays resident and
+unchanged.  Long records are decoded on every read: their bytes live on
+a page sequence, not in the slotted page.  Decoded values are shared
+with the memo; callers copy them before handing them on.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
 from repro.errors import AccessError, PageOverflowError, RecordNotFoundError, StorageError
 from repro.access.address import RecordId
 from repro.storage.constants import PAGE_HEADER_SIZE, SLOT_ENTRY_SIZE
-from repro.storage.page import PageId
+from repro.storage.page import PAGE_TYPE_DATA, PageId
 from repro.storage.system import StorageSystem
 
 
@@ -102,6 +113,20 @@ class RecordContainer:
         except StorageError as exc:
             raise RecordNotFoundError(str(exc)) from exc
 
+    def read_values(self, record_id: RecordId,
+                    decode: Callable[[bytes], Any]) -> tuple[Any, int]:
+        """``(decode(record), len(record))``, shared with the page memo:
+        the caller must not mutate the decoded value."""
+        self._check_ownership(record_id)
+        if record_id in self._long:
+            payload = self.read(record_id)
+            return decode(payload), len(payload)
+        try:
+            with self._storage.page(record_id.page) as page:
+                return page.decoded(record_id.slot, decode)
+        except StorageError as exc:
+            raise RecordNotFoundError(str(exc)) from exc
+
     def update(self, record_id: RecordId, payload: bytes) -> RecordId:
         """Replace the record's bytes; may relocate (returns the new id)."""
         self._check_ownership(record_id)
@@ -149,22 +174,28 @@ class RecordContainer:
             raise RecordNotFoundError(str(exc)) from exc
         self._record_count -= 1
 
-    def scan(self) -> Iterator[tuple[RecordId, bytes]]:
-        """All records in physical (page, slot) order — the system-defined
-        order of the atom-type scan.  Long records are resolved."""
-        from repro.storage.page import PAGE_TYPE_DATA
+    def scan(self, decode: Callable[[bytes], Any]
+             ) -> Iterator[tuple[RecordId, Any, int]]:
+        """All records as ``(record id, decoded record, length)`` in
+        physical (page, slot) order — the system-defined order of the
+        atom-type scan.  Long records are resolved.  Decoded values are
+        shared with the page memo, as in :meth:`read_values`."""
         for page_id in self.page_ids():
             with self._storage.page(page_id) as page:
                 if page.page_type != PAGE_TYPE_DATA:
                     continue   # page-sequence pages of long records
-                entries = list(page.records())
-            for slot, payload in entries:
-                record_id = RecordId(page_id, slot)
-                sequence = self._long.get(record_id)
-                if sequence is not None:
-                    yield record_id, self._storage.sequences.read(sequence)
-                else:
-                    yield record_id, payload
+                entries = [
+                    (record_id, None) if record_id in self._long
+                    else (record_id, page.decoded(record_id.slot, decode))
+                    for record_id in (RecordId(page_id, slot)
+                                      for slot in page.slots())
+                ]
+            for record_id, entry in entries:
+                if entry is None:
+                    payload = self._storage.sequences.read(
+                        self._long[record_id])
+                    entry = (decode(payload), len(payload))
+                yield record_id, entry[0], entry[1]
 
     def clear(self) -> None:
         """Delete every record (pages are freed)."""

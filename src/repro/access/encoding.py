@@ -160,6 +160,33 @@ def decode_atom(data: bytes) -> dict[str, Any]:
     return values
 
 
+def copy_values(values: dict[str, Any]) -> dict[str, Any]:
+    """A caller-owned copy of decoded ``values``.
+
+    The dict and every list or dict nested in it are new; scalars,
+    strings, bytes and surrogates are immutable and shared.  Decoded
+    records are memoised on their page (:meth:`repro.storage.page.Page
+    .decoded`), so each reader gets such a copy and may change it freely.
+    """
+    out = values.copy()
+    for name, value in values.items():
+        kind = type(value)
+        if kind is list:
+            out[name] = _copy_list(value)
+        elif kind is dict:
+            out[name] = copy_values(value)
+    return out
+
+
+def _copy_list(items: list[Any]) -> list[Any]:
+    for item in items:
+        if type(item) is list or type(item) is dict:
+            return [_copy_list(x) if type(x) is list
+                    else copy_values(x) if type(x) is dict else x
+                    for x in items]
+    return items[:]
+
+
 def encoded_size(values: dict[str, Any]) -> int:
     """Size in bytes of the encoded form of ``values``."""
     return len(encode_atom(values))

@@ -40,6 +40,7 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING, Any, Iterator
 
+from repro.access.encoding import copy_values
 from repro.errors import AtomNotFoundError
 from repro.mad.types import Surrogate
 
@@ -247,11 +248,13 @@ class SnapshotView:
             return values is not None
         return self._manager.exists(surrogate)
 
-    def get(self, surrogate: Surrogate,
-            attrs: list[str] | None = None) -> dict[str, Any]:
+    def get(self, surrogate: Surrogate, attrs: list[str] | None = None,
+            *, sized: bool = False) -> Any:
+        """:meth:`AtomManager.get` as of the epoch.  A pre-image has no
+        stored record, so its ``sized`` length is None."""
         changed, values = self._store.version_at(surrogate, self.epoch)
         if not changed:
-            return self._manager.get(surrogate, attrs)
+            return self._manager.get(surrogate, attrs, sized=sized)
         if values is None:
             raise AtomNotFoundError(
                 f"no atom with logical address {surrogate} at epoch "
@@ -259,13 +262,12 @@ class SnapshotView:
             )
         self.counters.bump("atoms_read")
         self.counters.bump("snapshot_version_reads")
-        if attrs is None:
-            return dict(values)
-        atom_type = self.schema.atom_type(surrogate.atom_type)
-        out: dict[str, Any] = {atom_type.identifier_attr: surrogate}
-        for attr in attrs:
-            out[attr] = values.get(attr)
-        return out
+        if attrs is not None:
+            atom_type = self.schema.atom_type(surrogate.atom_type)
+            values = {atom_type.identifier_attr: surrogate,
+                      **{attr: values.get(attr) for attr in attrs}}
+        out = copy_values(values)
+        return (out, None) if sized else out
 
     def atoms_of_type(self, type_name: str
                       ) -> Iterator[tuple[Surrogate, dict[str, Any]]]:
@@ -278,7 +280,7 @@ class SnapshotView:
             if changed and values is None:
                 continue   # created after the epoch
             seen.add(surrogate)
-            yield surrogate, (dict(values) if changed else live_values)
+            yield surrogate, (copy_values(values) if changed else live_values)
         # Resurrect atoms deleted after the epoch (skipping everything
         # the live walk already delivered — an atom deleted *behind*
         # the walk would otherwise appear twice).
@@ -288,7 +290,7 @@ class SnapshotView:
             if surrogate in seen or self._manager.exists(surrogate):
                 continue
             self.counters.bump("snapshot_version_reads")
-            yield surrogate, dict(values)
+            yield surrogate, copy_values(values)
 
     def count(self, type_name: str) -> int:
         return sum(1 for _ in self.atoms_of_type(type_name))

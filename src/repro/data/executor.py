@@ -644,10 +644,11 @@ class DataSystem:
 
     def _fetch(self, surrogate: Surrogate,
                fetched: dict[Surrogate, dict[str, Any]] | None,
-               atoms: Any) -> dict[str, Any]:
+               atoms: Any) -> tuple[dict[str, Any], int | None]:
+        """The atom and its record length (None when not known)."""
         if fetched is not None and surrogate in fetched:
-            return fetched[surrogate]
-        return atoms.get(surrogate)
+            return fetched[surrogate], None
+        return atoms.get(surrogate, sized=True)
 
     def _build(self, node: StructureNode, surrogate: Surrogate,
                fetched: dict[Surrogate, dict[str, Any]] | None,
@@ -655,8 +656,8 @@ class DataSystem:
                atoms: Any = None) -> Molecule:
         if atoms is None:
             atoms = self.access.atoms
-        atom = self._fetch(surrogate, fetched, atoms)
-        molecule = Molecule(node, atom)
+        atom, size = self._fetch(surrogate, fetched, atoms)
+        molecule = Molecule(node, atom, size)
         for child in node.children:
             assert child.via is not None
             attr_type = self.schema.atom_type(node.atom_type) \
@@ -682,8 +683,8 @@ class DataSystem:
                          atoms: Any) -> Molecule:
         """Level-wise recursion: expand the incoming association until the
         frontier is exhausted; ancestor atoms stop cycles."""
-        atom = self._fetch(surrogate, fetched, atoms)
-        molecule = Molecule(node, atom)
+        atom, size = self._fetch(surrogate, fetched, atoms)
+        molecule = Molecule(node, atom, size)
         assert node.via is not None
         attr_type = self.schema.atom_type(node.atom_type) \
             .attr(node.via.source_attr)
@@ -770,6 +771,8 @@ class DataSystem:
         identifier = self.schema.atom_type(molecule.node.atom_type) \
             .identifier_attr
         rule = effective.get(label)
+        if rule != "all":
+            molecule.size = None
         if rule == "all":
             pass
         elif isinstance(rule, set):

@@ -103,13 +103,20 @@ class Molecule:
     component molecules reached over that edge.  For recursive structures
     the recursion is unrolled into nesting: each level's components sit
     under the same label.
+
+    ``size`` is the byte length of the root atom's stored record while
+    ``atom`` is that whole, unprojected atom (None when unknown); the
+    modelled wire size uses it instead of re-encoding.  Whatever replaces
+    ``atom`` — projection, :meth:`map_atoms` — resets it to None.
     """
 
-    __slots__ = ("node", "atom", "components")
+    __slots__ = ("node", "atom", "components", "size")
 
-    def __init__(self, node: StructureNode, atom: dict[str, Any]) -> None:
+    def __init__(self, node: StructureNode, atom: dict[str, Any],
+                 size: int | None = None) -> None:
         self.node = node
         self.atom = atom
+        self.size = size
         self.components: dict[str, list[Molecule]] = {
             child.label: [] for child in node.children
         }
@@ -174,6 +181,7 @@ class Molecule:
     def map_atoms(self, fn: Callable[[dict[str, Any]], dict[str, Any]]) -> None:
         """Apply ``fn`` to every atom dict in place (projection support)."""
         self.atom = fn(self.atom)
+        self.size = None
         for comps in self.components.values():
             for comp in comps:
                 comp.map_atoms(fn)

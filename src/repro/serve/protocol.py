@@ -82,10 +82,20 @@ _LENGTH = struct.Struct(">I")
 
 def batch_bytes(batch: list[Molecule]) -> int:
     """Modelled wire size of one response batch: encoded atoms + header."""
-    total = BATCH_HEADER_BYTES
-    for molecule in batch:
-        for _label, atom in molecule.atoms():
-            total += encoded_size(atom)
+    return BATCH_HEADER_BYTES + sum(molecule_bytes(m) for m in batch)
+
+
+def molecule_bytes(molecule: Molecule) -> int:
+    """Modelled wire size of one molecule: the encoded size of each of its
+    atoms, once per occurrence.  An unprojected atom read from its record
+    carries that record's length (``Molecule.size``), which equals the
+    encoded size; only atoms without one (projected, read from a cluster
+    record, or a snapshot pre-image) are encoded here."""
+    size = molecule.size
+    total = encoded_size(molecule.atom) if size is None else size
+    for components in molecule.components.values():
+        for component in components:
+            total += molecule_bytes(component)
     return total
 
 

@@ -31,7 +31,6 @@ cluster version moves (``cluster_plans_invalidated``).
 
 from __future__ import annotations
 
-import pickle
 import threading
 import time
 from collections import OrderedDict
@@ -60,18 +59,13 @@ from repro.mql.ast import (
 from repro.obs import Observability
 from repro.obs.trace import Span, span_from_operator
 from repro.parallel.decompose import merge_ordered
+from repro.serve.protocol import molecule_bytes
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.shard.cluster import ShardedCluster
 
 _DDL_STATEMENTS = (CreateAtomType, DropAtomType, DefineMoleculeType,
                    DropMoleculeType)
-
-
-def _molecule_bytes(molecule: Any) -> int:
-    """Modelled wire size of one gathered molecule (pickled, like the
-    serving protocol frames its batches)."""
-    return len(pickle.dumps(molecule, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 def _mol_value(molecule: Any, attr: str) -> Any:
@@ -119,7 +113,7 @@ class _ShardPipe:
         molecule = self.pipeline.next()
         if molecule is not None:
             self.delivered += 1
-            self.bytes_out += _molecule_bytes(molecule)
+            self.bytes_out += molecule_bytes(molecule)
         return molecule
 
     def push_bound(self, values: tuple) -> None:

@@ -21,12 +21,24 @@ Layout of a slotted page (all integers little-endian)::
                each entry: u16 offset (0 = empty slot), u16 length
 
 The maximum page size is 8 KByte, hence all offsets fit in u16.
+
+**Decoded-record memo.**  A resident page image also keeps the decoded
+form of the records read from it (:meth:`Page.decoded`), keyed by slot,
+so a record that is read again while its page stays resident and
+unchanged is not decoded again.  Every mutation of the image (insert,
+update, delete, compaction, raw payload writes) empties the memo, and it
+lives and dies with the in-buffer ``Page`` object: eviction drops it,
+a miss starts with an empty one, and checkpoints never write it.  Its
+memory is therefore bounded by the buffer's own residency.  Memo
+entries are shared: whoever hands decoded values beyond the access
+system gives out copies (see :func:`repro.access.encoding.copy_values`).
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Any, Callable
 
 from repro.errors import PageOverflowError, StorageError
 from repro.storage.constants import PAGE_HEADER_SIZE, SLOT_ENTRY_SIZE, check_page_size
@@ -56,12 +68,24 @@ class PageId:
 class Page:
     """A mutable in-buffer page image with slotted-record operations."""
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "_memo")
 
     def __init__(self, data: bytearray) -> None:
         if len(data) != check_page_size(len(data)):
             raise StorageError(f"bad page image length {len(data)}")
         self.data = data
+        #: slot -> (decoded record, record length); see :meth:`decoded`.
+        self._memo: dict[int, tuple[Any, int]] = {}
+
+    # The memo is derived state: a checkpoint stores the image only.
+    def __getstate__(self) -> dict[str, Any]:
+        return {"data": self.data}
+
+    def __setstate__(self, state: Any) -> None:
+        if isinstance(state, tuple):   # (None, slots) of memo-less images
+            state = state[1]
+        self.data = state["data"]
+        self._memo = {}
 
     # -- construction ---------------------------------------------------------
 
@@ -163,6 +187,7 @@ class Page:
 
     def insert(self, payload: bytes) -> int:
         """Store ``payload`` in a free slot; returns the slot number."""
+        self._memo.clear()
         needed = len(payload)
         # Reuse an empty slot when one exists (offset 0 marks a tombstone).
         slot = None
@@ -196,11 +221,26 @@ class Page:
             raise StorageError(f"slot {slot} on page {self.page_no} is empty")
         return bytes(self.data[offset:offset + length])
 
+    def decoded(self, slot: int,
+                decode: Callable[[bytes], Any]) -> tuple[Any, int]:
+        """``(decode(payload), len(payload))`` for the record in ``slot``.
+
+        The pair is memoised on this image until its next mutation, so
+        ``decode`` runs once per record and residency.  The decoded value
+        is shared with every later caller and must not be mutated.
+        """
+        entry = self._memo.get(slot)
+        if entry is None:
+            payload = self.read(slot)
+            entry = self._memo[slot] = (decode(payload), len(payload))
+        return entry
+
     def delete(self, slot: int) -> None:
         """Remove the record in ``slot`` (the slot becomes reusable)."""
         offset, _ = self._slot(slot)
         if offset == 0:
             raise StorageError(f"slot {slot} on page {self.page_no} is empty")
+        self._memo.clear()
         self._set_slot(slot, 0, 0)
 
     def update(self, slot: int, payload: bytes) -> None:
@@ -208,6 +248,7 @@ class Page:
         offset, length = self._slot(slot)
         if offset == 0:
             raise StorageError(f"slot {slot} on page {self.page_no} is empty")
+        self._memo.clear()
         if len(payload) <= length:
             self.data[offset:offset + len(payload)] = payload
             self._set_slot(slot, offset, len(payload))
@@ -246,6 +287,7 @@ class Page:
         them in its addressing structure), so the directory is never
         trimmed — tombstoned slots are reused by later inserts instead.
         """
+        self._memo.clear()
         live = [(slot, self.read(slot)) for slot in self.slots()]
         cursor = PAGE_HEADER_SIZE
         images = []
@@ -266,6 +308,7 @@ class Page:
             raise PageOverflowError(
                 f"payload of {len(payload)} bytes exceeds capacity {capacity}"
             )
+        self._memo.clear()
         start = PAGE_HEADER_SIZE
         self.data[start:start + len(payload)] = payload
         self._set_field(8, 0)

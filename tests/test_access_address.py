@@ -143,7 +143,7 @@ class TestRecordContainer:
         payloads = [bytes([i]) * 50 for i in range(30)]
         for payload in payloads:
             container.insert(payload)
-        scanned = [payload for _rid, payload in container.scan()]
+        scanned = [payload for _rid, payload, _length in container.scan(bytes)]
         assert scanned == payloads
 
     def test_records_spread_over_pages(self, container):
@@ -181,7 +181,8 @@ class TestRecordContainer:
         container.insert(b"short")
         blob = bytes(range(256)) * 10
         container.insert(blob)
-        payloads = sorted((p for _rid, p in container.scan()), key=len)
+        payloads = sorted((p for _rid, p, _length in container.scan(bytes)),
+                          key=len)
         assert payloads == [b"short", blob]
 
     def test_clear_drops_long_records(self, container):
@@ -201,7 +202,7 @@ class TestRecordContainer:
             container.insert(bytes([i]) * 50)
         container.clear()
         assert container.record_count == 0
-        assert list(container.scan()) == []
+        assert list(container.scan(bytes)) == []
 
     def test_free_space_reused_after_delete(self, container):
         rids = [container.insert(b"x" * 100) for _ in range(4)]

@@ -25,6 +25,23 @@ class TestPersistence:
         assert restored.query(query).to_dicts() == db.query(query).to_dicts()
         assert restored.verify_integrity() == []
 
+    def test_checkpoint_leaves_decoded_records_out(self, tmp_path):
+        db = Prima()
+        brep.generate(db, n_solids=4)
+        db.reset_accounting()
+        cold = save(db, tmp_path / "cold.prima")
+        query = "SELECT ALL FROM brep-face-edge-point"
+        expected = db.query(query).to_dicts()
+        for type_name in ("solid", "brep", "face", "edge", "point"):
+            assert len(db.query(f"SELECT ALL FROM {type_name}")) > 0
+        db.reset_accounting()
+        warm = save(db, tmp_path / "warm.prima")
+        assert warm <= cold
+        restored = load(tmp_path / "warm.prima")
+        assert restored.query(query).to_dicts() == expected
+        assert restored.io_report()["records_decoded"] > 0
+        assert restored.verify_integrity() == []
+
     def test_restored_instance_is_writable(self, tmp_path):
         db = Prima()
         db.execute("CREATE ATOM_TYPE a (a_id: IDENTIFIER, n: INTEGER) "

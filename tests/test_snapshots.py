@@ -152,6 +152,48 @@ class TestSnapshotView:
             snapshot.release()
 
 
+class TestSnapshotReadersOwnTheirValues:
+    """A pre-image is handed out as a copy, reference lists included, so
+    one reader's changes never reach what later readers at the epoch see."""
+
+    @pytest.fixture
+    def graph(self):
+        database = Prima()
+        database.execute_script("""
+        CREATE ATOM_TYPE face (face_id: IDENTIFIER, name: CHAR_VAR,
+          border: SET_OF (REF_TO (edge.face)));
+        CREATE ATOM_TYPE edge (edge_id: IDENTIFIER, length: REAL,
+          face: SET_OF (REF_TO (face.border)))
+        """)
+        edges = sorted((database.insert_atom("edge", {"length": 1.0})
+                        for _ in range(2)), key=repr)
+        face = database.insert_atom("face", {"name": "f", "border": edges})
+        return database, face, edges
+
+    def test_get_of_a_modified_atom(self, graph):
+        db, face, edges = graph
+        with db.data.open_snapshot() as snapshot:
+            db.modify_atom(face, {"name": "moved"})
+            snapshot.get(face)["border"].append(edges[0])
+            snapshot.get(face, attrs=["border"])["border"].clear()
+            assert snapshot.get(face)["border"] == edges
+            assert snapshot.get(face)["name"] == "f"
+
+    def test_scan_of_modified_and_deleted_atoms(self, graph):
+        db, face, edges = graph
+        with db.data.open_snapshot() as snapshot:
+            db.modify_atom(edges[0], {"length": 2.0})
+            db.delete_atom(edges[1])
+            for _ in range(2):
+                scanned = dict(snapshot.atoms_of_type("edge"))
+                assert set(scanned) == set(edges)
+                assert all(values["face"] == [face]
+                           for values in scanned.values())
+                for values in scanned.values():
+                    values["face"].clear()
+            assert snapshot.get(edges[1])["face"] == [face]
+
+
 # ---------------------------------------------------------------------------
 # Serving: snapshot isolation end to end
 # ---------------------------------------------------------------------------

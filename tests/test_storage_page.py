@@ -140,3 +140,83 @@ class TestRawPayload:
         page.write_payload(bytes(100))
         page.write_payload(bytes(10))
         assert len(page.read_payload()) == 10
+
+
+class TestDecodedMemo:
+    """``Page.decoded`` memoises a record's decoded form until the page
+    next changes."""
+
+    @staticmethod
+    def counting_decoder():
+        calls = []
+
+        def decode(payload: bytes) -> str:
+            calls.append(payload)
+            return payload.decode()
+        return decode, calls
+
+    def test_decodes_once_and_reports_the_length(self, page):
+        slot = page.insert(b"abc")
+        decode, calls = self.counting_decoder()
+        assert page.decoded(slot, decode) == ("abc", 3)
+        assert page.decoded(slot, decode) == ("abc", 3)
+        assert calls == [b"abc"]
+
+    @pytest.mark.parametrize("mutate", [
+        lambda page, slot: page.insert(b"other"),
+        lambda page, slot: page.update(slot, b"xyz"),
+        lambda page, slot: page.update(slot, b"grown record"),
+        lambda page, slot: page.delete(page.insert(b"gone")),
+        lambda page, slot: page.delete(slot) or page.insert(b"new"),
+        lambda page, slot: page._compact(),  # noqa: SLF001
+    ], ids=["insert", "update", "update-relocating", "delete", "reuse",
+         "compact"])
+    def test_every_mutation_forgets(self, page, mutate):
+        slot = page.insert(b"abc")
+        decode, calls = self.counting_decoder()
+        page.decoded(slot, decode)
+        mutate(page, slot)
+        assert page.decoded(slot, decode) == (page.read(slot).decode(),
+                                              len(page.read(slot)))
+        assert len(calls) == 2
+
+    def test_slot_reuse_after_delete(self, page):
+        slot = page.insert(b"old")
+        decode, _calls = self.counting_decoder()
+        page.decoded(slot, decode)
+        page.delete(slot)
+        assert page.insert(b"new!") == slot
+        assert page.decoded(slot, decode) == ("new!", 4)
+
+    def test_raw_payload_write_forgets(self, page):
+        slot = page.insert(b"abc")
+        decode, _calls = self.counting_decoder()
+        page.decoded(slot, decode)
+        page.write_payload(b"raw")
+        with pytest.raises(StorageError):
+            page.decoded(slot, decode)
+
+    def test_deleted_record_is_forgotten(self, page):
+        slot = page.insert(b"abc")
+        page.decoded(slot, bytes.decode)
+        page.delete(slot)
+        with pytest.raises(StorageError):
+            page.decoded(slot, bytes.decode)
+
+    def test_pickle_keeps_the_image_not_the_memo(self, page):
+        import pickle
+        slot = page.insert(b"abc")
+        cold = len(pickle.dumps(page))
+        page.decoded(slot, lambda payload: payload.decode() * 1000)
+        assert len(pickle.dumps(page)) == cold
+        copy = pickle.loads(pickle.dumps(page))
+        assert copy.data == page.data
+        decode, calls = self.counting_decoder()
+        assert copy.decoded(slot, decode) == ("abc", 3)
+        assert calls == [b"abc"]
+
+    def test_unpickles_an_image_saved_before_the_memo(self, page):
+        slot = page.insert(b"abc")
+        restored = Page.__new__(Page)
+        restored.__setstate__((None, {"data": bytearray(page.data)}))
+        assert restored.decoded(slot, bytes.decode) == ("abc", 3)
