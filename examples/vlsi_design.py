@@ -41,7 +41,7 @@ def main() -> None:
     print(f"\ncell explosion of top cell {top}: depth {result[0].depth()}, "
           f"{result[0].atom_count()} cells")
 
-    # Semantic parallelism: construct all netlist molecules concurrently.
+    # Semantic parallelism: one DU per netlist molecule, simulated schedule.
     for processors in (1, 2, 4, 8):
         outcome = parallel_select(db, "SELECT ALL FROM netlist",
                                   processors=processors)

@@ -46,7 +46,8 @@ class RecordContainer:
             storage.create_segment(segment_name, page_size)
         self.page_size = storage.segment(segment_name).page_size
         self._max_record = self.page_size - PAGE_HEADER_SIZE - SLOT_ENTRY_SIZE
-        #: page_no -> free-byte estimate, refreshed on every touch.
+        #: page_no -> free bytes after compaction (tombstoned and
+        #: shrunk-away bytes included), refreshed on every touch.
         self._free_space: dict[int, int] = {}
         self._record_count = 0
         #: Long-record indirection: stub RecordId -> page-sequence header.
@@ -87,17 +88,18 @@ class RecordContainer:
             try:
                 with self._storage.page(page_id, write=True) as page:
                     slot = page.insert(payload)
-                    self._free_space[page_id.page_no] = page.free_space
+                    self._free_space[page_id.page_no] = \
+                        page.free_after_compaction
                 self._record_count += 1
                 return RecordId(page_id, slot)
             except PageOverflowError:
-                # The free-space estimate was optimistic (tombstone bytes
-                # plus directory growth); fall through to a fresh page.
+                # A stale estimate (the page changed behind this
+                # container's back); fall through to a fresh page.
                 pass
         page_id = self._storage.allocate_page(self.segment_name)
         with self._storage.page(page_id, write=True) as page:
             slot = page.insert(payload)
-            self._free_space[page_id.page_no] = page.free_space
+            self._free_space[page_id.page_no] = page.free_after_compaction
         self._record_count += 1
         return RecordId(page_id, slot)
 
@@ -147,7 +149,8 @@ class RecordContainer:
         try:
             with self._storage.page(record_id.page, write=True) as page:
                 page.update(record_id.slot, payload)
-                self._free_space[record_id.page.page_no] = page.free_space
+                self._free_space[record_id.page.page_no] = \
+                    page.free_after_compaction
             return record_id
         except PageOverflowError:
             pass  # move to another page below
@@ -164,12 +167,9 @@ class RecordContainer:
             self._storage.sequences.drop(sequence)
         try:
             with self._storage.page(record_id.page, write=True) as page:
-                reclaimed = len(page.read(record_id.slot))
                 page.delete(record_id.slot)
-                # The tombstoned bytes are reclaimable by compaction, so
-                # count them as free for placement decisions.
                 self._free_space[record_id.page.page_no] = \
-                    page.free_space + reclaimed
+                    page.free_after_compaction
         except StorageError as exc:
             raise RecordNotFoundError(str(exc)) from exc
         self._record_count -= 1

@@ -1,19 +1,16 @@
 """Semantic parallelism: decomposition, conflicts, simulated scheduling
 (paper, section 4; [HHM86]).
 
-One user operation decomposes into per-molecule units of work that run
-on real workers: threads overlapping latency under a narrow construction
-lock, or — with ``mode="processes"`` — forked worker processes, each
-constructing against a copy-on-write image of the engine taken at fork
-time (true CPU parallelism, no shared mutable engine state).  The
-simulated multiprocessor schedule replays the measured per-unit costs
-either way."""
+One user operation decomposes into per-molecule units of work (DUs),
+each with its read/write set and its measured cost in atom reads.  The
+units execute serially in the calling thread; the simulated
+multiprocessor schedule (:func:`simulate`) replays their costs to show
+the speedup that conflict-free decomposition admits."""
 
 from repro.parallel.decompose import (
     ConstructionWorker,
     SemanticDecomposer,
     UnitOfWork,
-    partition_units,
 )
 from repro.parallel.scheduler import (
     ScheduleReport,
@@ -32,6 +29,5 @@ __all__ = [
     "UnitOfWork",
     "build_conflict_edges",
     "parallel_select",
-    "partition_units",
     "simulate",
 ]

@@ -32,10 +32,20 @@ a miss starts with an empty one, and checkpoints never write it.  Its
 memory is therefore bounded by the buffer's own residency.  Memo
 entries are shared: whoever hands decoded values beyond the access
 system gives out copies (see :func:`repro.access.encoding.copy_values`).
+
+**Directory summary.**  Inserts reuse the lowest tombstoned slot, and
+placement needs the bytes compaction would free.  Both come from one
+bulk read of the slot directory (:meth:`Page._summary`), made on the
+first record operation or free-space question after the image was
+loaded; the record operations keep it current from then on, so filling
+a page reads no slot entry per insert.  Like the memo it is derived
+from the image and lives only on the in-buffer object: a reload
+re-derives it.
 """
 
 from __future__ import annotations
 
+import heapq
 import struct
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -68,7 +78,7 @@ class PageId:
 class Page:
     """A mutable in-buffer page image with slotted-record operations."""
 
-    __slots__ = ("data", "_memo")
+    __slots__ = ("data", "_memo", "_tombstones", "_live_bytes")
 
     def __init__(self, data: bytearray) -> None:
         if len(data) != check_page_size(len(data)):
@@ -76,8 +86,10 @@ class Page:
         self.data = data
         #: slot -> (decoded record, record length); see :meth:`decoded`.
         self._memo: dict[int, tuple[Any, int]] = {}
+        self._forget_summary()
 
-    # The memo is derived state: a checkpoint stores the image only.
+    # The memo and the directory summary are derived state: a checkpoint
+    # stores the image only.
     def __getstate__(self) -> dict[str, Any]:
         return {"data": self.data}
 
@@ -86,6 +98,7 @@ class Page:
             state = state[1]
         self.data = state["data"]
         self._memo = {}
+        self._forget_summary()
 
     # -- construction ---------------------------------------------------------
 
@@ -174,10 +187,42 @@ class Page:
     def _set_slot(self, slot: int, offset: int, length: int) -> None:
         struct.pack_into("<HH", self.data, self._slot_pos(slot), offset, length)
 
+    def _forget_summary(self) -> None:
+        #: Min-heap of tombstoned slot numbers; None until derived.
+        self._tombstones: list[int] | None = None
+        #: Bytes held by live records; None until derived.
+        self._live_bytes: int | None = None
+
+    def _summary(self) -> tuple[list[int], int]:
+        """``(tombstoned slots as a min-heap, live record bytes)``,
+        derived when not yet known."""
+        if self._tombstones is None or self._live_bytes is None:
+            entries = self._directory()
+            self._tombstones = [slot for slot, (offset, _length)
+                                in enumerate(entries)
+                                if offset == 0]   # ascending: a heap
+            self._live_bytes = sum(length for offset, length in entries
+                                   if offset != 0)
+        return self._tombstones, self._live_bytes
+
+    def _directory(self) -> list[tuple[int, int]]:
+        """Every slot's ``(offset, length)`` in slot order, read in one
+        bulk unpack (the directory grows downward: highest slot first)."""
+        start = self.size - self.slot_count * SLOT_ENTRY_SIZE
+        entries = list(struct.iter_unpack("<HH", self.data[start:]))
+        entries.reverse()
+        return entries
+
     @property
     def free_space(self) -> int:
         """Contiguous free bytes between record area and slot directory."""
         return self.free_end - self.free_start
+
+    @property
+    def free_after_compaction(self) -> int:
+        """Free bytes once compaction squeezed out every hole: the
+        contiguous free space plus all tombstoned and shrunk-away bytes."""
+        return self.free_end - PAGE_HEADER_SIZE - self._summary()[1]
 
     def space_for(self, length: int) -> bool:
         """Can a new record of ``length`` bytes be inserted (new slot)?"""
@@ -189,13 +234,10 @@ class Page:
         """Store ``payload`` in a free slot; returns the slot number."""
         self._memo.clear()
         needed = len(payload)
-        # Reuse an empty slot when one exists (offset 0 marks a tombstone).
-        slot = None
-        for candidate in range(self.slot_count):
-            if self._slot(candidate)[0] == 0:
-                slot = candidate
-                break
-        grows_directory = slot is None
+        # Reuse the lowest empty slot when one exists (offset 0 marks a
+        # tombstone).
+        tombstones, live = self._summary()
+        grows_directory = not tombstones
         needed_total = needed + (SLOT_ENTRY_SIZE if grows_directory else 0)
         if self.free_space < needed_total:
             self._compact()
@@ -211,7 +253,10 @@ class Page:
             slot = self.slot_count
             self._set_field(12, self.free_end - SLOT_ENTRY_SIZE)
             self._set_field(8, self.slot_count + 1)
+        else:
+            slot = heapq.heappop(tombstones)
         self._set_slot(slot, offset, needed)
+        self._live_bytes = live + needed
         return slot
 
     def read(self, slot: int) -> bytes:
@@ -237,11 +282,14 @@ class Page:
 
     def delete(self, slot: int) -> None:
         """Remove the record in ``slot`` (the slot becomes reusable)."""
-        offset, _ = self._slot(slot)
+        offset, length = self._slot(slot)
         if offset == 0:
             raise StorageError(f"slot {slot} on page {self.page_no} is empty")
         self._memo.clear()
+        tombstones, live = self._summary()
         self._set_slot(slot, 0, 0)
+        heapq.heappush(tombstones, slot)
+        self._live_bytes = live - length
 
     def update(self, slot: int, payload: bytes) -> None:
         """Replace the record in ``slot`` with ``payload`` (may relocate)."""
@@ -249,9 +297,11 @@ class Page:
         if offset == 0:
             raise StorageError(f"slot {slot} on page {self.page_no} is empty")
         self._memo.clear()
+        live = self._summary()[1]
         if len(payload) <= length:
             self.data[offset:offset + len(payload)] = payload
             self._set_slot(slot, offset, len(payload))
+            self._live_bytes = live - length + len(payload)
             return
         # Relocate within the page.  Save the old image first: compaction
         # moves records, so a failed grow must re-insert, not re-point.
@@ -271,10 +321,12 @@ class Page:
         self.data[new_offset:new_offset + len(payload)] = payload
         self._set_field(10, new_offset + len(payload))
         self._set_slot(slot, new_offset, len(payload))
+        self._live_bytes = live - length + len(payload)
 
     def slots(self) -> list[int]:
         """Slot numbers currently holding a record, in slot order."""
-        return [s for s in range(self.slot_count) if self._slot(s)[0] != 0]
+        return [slot for slot, (offset, _length)
+                in enumerate(self._directory()) if offset != 0]
 
     def records(self) -> list[tuple[int, bytes]]:
         """All (slot, payload) pairs on the page."""
@@ -288,15 +340,19 @@ class Page:
         trimmed — tombstoned slots are reused by later inserts instead.
         """
         self._memo.clear()
-        live = [(slot, self.read(slot)) for slot in self.slots()]
+        entries = self._directory()
+        records = bytearray()
         cursor = PAGE_HEADER_SIZE
-        images = []
-        for slot, payload in live:
-            images.append((slot, cursor, payload))
-            cursor += len(payload)
-        for slot, offset, payload in images:
-            self.data[offset:offset + len(payload)] = payload
-            self._set_slot(slot, offset, len(payload))
+        for slot, (offset, length) in enumerate(entries):
+            if offset != 0:
+                records += self.data[offset:offset + length]
+                entries[slot] = (cursor, length)
+                cursor += length
+        self.data[PAGE_HEADER_SIZE:cursor] = records
+        entries.reverse()
+        start = self.size - len(entries) * SLOT_ENTRY_SIZE
+        self.data[start:] = struct.pack(
+            f"<{2 * len(entries)}H", *(n for entry in entries for n in entry))
         self._set_field(10, cursor)
 
     # -- raw payload area (for page-sequence component pages) -------------------
@@ -309,6 +365,7 @@ class Page:
                 f"payload of {len(payload)} bytes exceeds capacity {capacity}"
             )
         self._memo.clear()
+        self._forget_summary()
         start = PAGE_HEADER_SIZE
         self.data[start:start + len(payload)] = payload
         self._set_field(8, 0)

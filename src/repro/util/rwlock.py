@@ -119,9 +119,8 @@ class ReadWriteLock:
 class _Side:
     """One side of the lock as a reusable, lock-like context manager.
 
-    Duck-types ``threading.Lock`` far enough (``acquire``/``release``/
-    ``with``) that code written against a plain mutex — the parallel
-    subsystem's construction workers — takes the shared side unchanged.
+    Duck-types ``threading.Lock`` (``acquire``/``release``/``with``), so
+    either side can stand in wherever a plain mutex is expected.
     """
 
     def __init__(self, lock: ReadWriteLock, shared: bool) -> None:

@@ -18,9 +18,9 @@ class Counters:
 
     Most counters are integer event counts; the per-operator timing
     counters (``operator_time:*``) accumulate fractional seconds.  A lock
-    makes ``bump()`` safe under the parallel subsystem's construction
-    threads (a bare ``+=`` on a shared Counter is a read-modify-write that
-    can lose updates between bytecodes).
+    makes ``bump()`` safe under concurrent serving threads (a bare ``+=``
+    on a shared Counter is a read-modify-write that can lose updates
+    between bytecodes).
     """
 
     __slots__ = ("_values", "_lock")

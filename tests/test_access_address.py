@@ -204,6 +204,22 @@ class TestRecordContainer:
         assert container.record_count == 0
         assert list(container.scan(bytes)) == []
 
+    def test_every_tombstone_counts_toward_free_space(self, storage):
+        """Five 1,576-byte records fill an 8 KB page to 276 free bytes;
+        after two deletes, 276 + 2 x 1,576 bytes are reclaimable, so a
+        2,500-byte record belongs on that page, not on a fresh one."""
+        container = RecordContainer(storage, "big", page_size=8192)
+        rids = [container.insert(bytes([i]) * 1576) for i in range(5)]
+        assert len({rid.page for rid in rids}) == 1
+        container.delete(rids[1])
+        container.delete(rids[3])
+        rid = container.insert(b"z" * 2500)
+        assert rid.page == rids[0].page
+        assert len(container.page_ids()) == 1
+        assert container.read(rid) == b"z" * 2500
+        assert [container.read(r) for r in (rids[0], rids[2], rids[4])] == \
+            [bytes([i]) * 1576 for i in (0, 2, 4)]
+
     def test_free_space_reused_after_delete(self, container):
         rids = [container.insert(b"x" * 100) for _ in range(4)]
         pages_before = len(container.page_ids())

@@ -12,6 +12,7 @@ from repro.errors import (
 )
 from repro.access.integrity import verify_database
 from repro.mad.types import Surrogate
+from repro.storage.page import Page
 
 
 class TestInsertGet:
@@ -164,6 +165,35 @@ class TestRestore:
         assert face_edge_access.get(e)["length"] == 5.0
         assert face_edge_access.get(f)["border"] == [e]
         assert verify_database(face_edge_access.atoms) == []
+
+    def test_restore_keeps_free_space_figures_exact(self, face_edge_access):
+        access = face_edge_access
+        edges = [access.insert("edge", {"length": float(i)})
+                 for i in range(6)]
+        saved = []
+        for victim in (edges[1], edges[4]):
+            values = access.get(victim)
+            values.pop("edge_id")
+            saved.append((victim, values))
+            access.delete(victim)
+        container = access.atoms._container("edge")
+
+        def check():
+            for page_id in container.page_ids():
+                with access.storage.page(page_id) as page:
+                    fresh = Page(bytearray(page.data))
+                    assert page.free_after_compaction == \
+                        fresh.free_after_compaction
+                    assert container._free_space[page_id.page_no] == \
+                        fresh.free_after_compaction
+
+        check()
+        for victim, values in saved:
+            access.atoms.restore_atom(victim, values)
+            check()
+        assert [access.get(e)["length"] for e in edges] == \
+            [float(i) for i in range(6)]
+        assert verify_database(access.atoms) == []
 
     def test_restore_existing_rejected(self, face_edge_access):
         e = face_edge_access.insert("edge")

@@ -12,7 +12,7 @@ from repro.parallel import (
     simulate,
 )
 from repro.mad.types import Surrogate
-from repro.workloads import brep
+from repro.workloads import brep, vlsi
 
 
 def _unit(index, cost, reads=(), writes=()):
@@ -99,11 +99,14 @@ class TestEndToEnd:
 
     def test_results_equal_serial_execution(self, handles):
         db = handles.db
-        query = "SELECT ALL FROM brep-face-edge-point"
-        outcome = parallel_select(db, query, processors=4)
-        serial = db.query(query)
-        assert [m.to_dict() for m in outcome.result] == \
-            [m.to_dict() for m in serial]
+        for query in ("SELECT ALL FROM brep-face-edge-point",
+                      "SELECT ALL FROM brep-face",
+                      "SELECT ALL FROM brep ORDER BY brep_no DESC "
+                      "LIMIT 3 OFFSET 1"):
+            outcome = parallel_select(db, query, processors=4)
+            serial = db.query(query)
+            assert [m.to_dict() for m in outcome.result] == \
+                [m.to_dict() for m in serial], query
 
     def test_retrieval_units_conflict_free(self, handles):
         decomposer = SemanticDecomposer(handles.db.data)
@@ -113,6 +116,7 @@ class TestEndToEnd:
         assert build_conflict_edges(units) == []
         assert all(unit.cost >= 1 for unit in units)
         assert all(unit.read_set for unit in units)
+        assert all(unit.result is not None for unit in units)
 
     def test_speedup_grows_with_processors(self, handles):
         db = handles.db
@@ -150,60 +154,52 @@ class TestEndToEnd:
             decomposer.decompose_select("INSERT solid (solid_no = 1)")
 
 
-class TestThreadedWorkers:
-    """run_all drives one real thread per construction worker, feeding a
-    bounded queue the merge stage drains; results stay deterministic."""
+class TestA8Speedups:
+    """The figures benchmark A8 prints (section 4), pinned: the simulated
+    speedup of one decomposed query at P = 1..16 processors (cost =
+    atoms read), and its collapse once every DU writes one shared atom."""
+
+    PROCESSORS = (1, 2, 4, 8, 16)
+
+    @staticmethod
+    def _units(db, query):
+        decomposer = SemanticDecomposer(db.data)
+        plan, units = decomposer.decompose_select(query)
+        decomposer.run_all(plan, units)
+        return units
 
     @pytest.fixture(scope="class")
-    def handles(self):
-        return brep.generate(Prima(), n_solids=6)
+    def brep_db(self):
+        return brep.generate(Prima(), n_solids=16).db
 
-    def test_determinism_across_partition_counts(self, handles):
-        db = handles.db
-        query = "SELECT ALL FROM brep-face-edge-point"
-        serial = [m.to_dict() for m in db.query(query)]
-        for partitions in (1, 2, 3, 4, 6, 8):
-            outcome = parallel_select(db, query, processors=4,
-                                      partitions=partitions)
-            assert [m.to_dict() for m in outcome.result] == serial, \
-                f"partitions={partitions}"
+    def test_brep_speedups(self, brep_db):
+        units = self._units(brep_db, "SELECT ALL FROM brep-face-edge-point")
+        assert len(units) == 16
+        assert [simulate(units, p).makespan for p in self.PROCESSORS] == \
+            [1264, 632, 316, 158, 79]
+        assert [f"{simulate(units, p).speedup:.2f}"
+                for p in self.PROCESSORS] == \
+            ["1.00", "2.00", "4.00", "8.00", "16.00"]
 
-    def test_determinism_with_order_and_window(self, handles):
-        db = handles.db
-        query = ("SELECT ALL FROM brep ORDER BY brep_no DESC "
-                 "LIMIT 3 OFFSET 1")
-        serial = [m.to_dict() for m in db.query(query)]
-        for partitions in (2, 3, 5):
-            outcome = parallel_select(db, query, processors=4,
-                                      partitions=partitions)
-            assert [m.to_dict() for m in outcome.result] == serial
+    def test_vlsi_speedups(self):
+        db = vlsi.generate(n_cells=32).db
+        units = self._units(db, "SELECT ALL FROM netlist")
+        assert len(units) == 16
+        assert [simulate(units, p).makespan for p in self.PROCESSORS] == \
+            [138, 71, 37, 22, 11]
+        assert [f"{simulate(units, p).speedup:.2f}"
+                for p in self.PROCESSORS] == \
+            ["1.00", "1.94", "3.73", "6.27", "12.55"]
 
-    def test_max_workers_caps_threads_same_result(self, handles):
-        db = handles.db
-        query = "SELECT ALL FROM brep-face"
-        serial = [m.to_dict() for m in db.query(query)]
-        for max_workers in (1, 2, 4):
-            outcome = parallel_select(db, query, processors=4,
-                                      partitions=4,
-                                      max_workers=max_workers)
-            assert [m.to_dict() for m in outcome.result] == serial
-
-    def test_unit_costs_exact_under_threads(self, handles):
-        """The construction lock keeps the counted region exclusive, so
-        per-DU cost measurement stays exact with real threads."""
-        decomposer = SemanticDecomposer(handles.db.data)
-        plan, units = decomposer.decompose_select(
-            "SELECT ALL FROM brep-face-edge-point")
-        decomposer.run_all(plan, units, partitions=4)
-        assert all(unit.cost >= 1 for unit in units)
-        assert all(unit.read_set for unit in units)
-        assert all(unit.result is not None for unit in units)
-
-    def test_invalid_max_workers_rejected(self, handles):
-        decomposer = SemanticDecomposer(handles.db.data)
-        plan, units = decomposer.decompose_select("SELECT ALL FROM brep")
-        with pytest.raises(DecompositionError):
-            decomposer.run_all(plan, units, partitions=2, max_workers=0)
+    def test_shared_write_target_serialises(self, brep_db):
+        units = self._units(brep_db, "SELECT ALL FROM brep-face-edge-point")
+        shared = next(iter(units[0].read_set))
+        for unit in units:
+            unit.write_set = {shared}
+        report = simulate(units, 8)
+        assert report.conflict_edges == 120
+        assert report.makespan == report.serial_time == 1264
+        assert f"{report.speedup:.2f}" == "1.00"
 
 
 class TestDmlDecomposition:

@@ -402,9 +402,9 @@ class TestServingCounters:
         assert report["serve_sessions_peak"] == 1
         assert report["net_messages"] == manager.stats.messages
 
-    def test_parallel_query_inside_session(self, db, manager):
-        with manager.open() as session:
-            outcome = session.parallel_query(
+    def test_parallel_select_beside_open_session(self, db, manager):
+        with repro.connect(manager):
+            outcome = db.parallel_select(
                 "SELECT ALL FROM item WHERE grp = 6", processors=3)
             rows = sorted(m.atom["n"] for m in outcome.result)
         assert rows == [n for n in range(N_ITEMS) if n % GROUPS == 6]

@@ -1,15 +1,13 @@
-"""Tests: snapshot reads (copy-on-write atom versions) and the
-process-parallel construction pool.
+"""Tests: snapshot reads (copy-on-write atom versions).
 
 The version store and the :class:`SnapshotView` facade are exercised
 directly first; then the serving layer's end-to-end guarantees: a
 pinned cursor never sees a concurrent commit, reads acquire zero
-type-level S locks, readers overlap inside the engine lock, and the
-``fork``-based worker pool produces byte-identical results to the
-threaded path on extra processes.
+type-level S locks, and readers overlap inside the engine lock.  Last,
+``parallel_select`` over the same relation returns the serial
+pipeline's molecules, in order.
 """
 
-import os
 import threading
 
 import pytest
@@ -19,7 +17,6 @@ from repro import Prima
 from repro.errors import (
     AtomNotFoundError,
     CursorStateError,
-    DecompositionError,
     SessionStateError,
 )
 from repro.serve import SessionManager
@@ -362,60 +359,18 @@ class TestRemoteExplain:
 
 
 # ---------------------------------------------------------------------------
-# Process-parallel construction
+# Semantic decomposition over the same relation
 # ---------------------------------------------------------------------------
 
-def _fork_available() -> bool:
-    import multiprocessing
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-class TestProcessParallel:
-    QUERY = "SELECT ALL FROM item WHERE grp = 1 ORDER BY n"
-
-    def test_modes_produce_identical_results(self, db):
-        serial = [m.atom["n"] for m in db.query(self.QUERY)]
-        threaded = db.parallel_select(self.QUERY, processors=3,
-                                      mode="threads")
-        forked = db.parallel_select(self.QUERY, processors=3,
-                                    mode="processes")
-        assert [m.atom["n"] for m in threaded.result] == serial
-        assert [m.atom["n"] for m in forked.result] == serial
-
-    @pytest.mark.skipif(not _fork_available(),
-                        reason="fork start method unavailable")
-    def test_processes_run_in_distinct_pids(self, db):
-        outcome = db.parallel_select(self.QUERY, processors=3,
-                                     mode="processes")
-        children = outcome.worker_pids - {os.getpid()}
-        assert children, "no forked worker constructed molecules"
-
-    def test_threads_stay_in_one_pid(self, db):
-        outcome = db.parallel_select(self.QUERY, processors=3,
-                                     mode="threads")
-        assert outcome.worker_pids == {os.getpid()}
-
-    def test_unknown_mode_rejected(self, db):
-        with pytest.raises(DecompositionError):
-            db.parallel_select(self.QUERY, mode="fibers")
-
-    def test_parallel_query_inside_session_process_mode(self, db):
-        manager = SessionManager(db, max_sessions=2,
-                                 parallel_mode="processes")
-        with manager.open() as session:
-            outcome = session.parallel_query(self.QUERY, processors=3)
-            rows = [m.atom["n"] for m in outcome.result]
-        assert rows == [n for n in range(N_ITEMS) if n % GROUPS == 1]
-
-    def test_serve_knob_validation(self, db):
-        with pytest.raises(ValueError):
-            SessionManager(db, parallel_mode="fibers")
-
-    @pytest.mark.skipif(not _fork_available(),
-                        reason="fork start method unavailable")
-    def test_process_pool_with_topk_window(self, db):
-        query = "SELECT ALL FROM item ORDER BY grp, n LIMIT 7"
-        serial = [(m.atom["grp"], m.atom["n"]) for m in db.query(query)]
-        outcome = db.parallel_select(query, processors=4, mode="processes")
-        assert [(m.atom["grp"], m.atom["n"])
-                for m in outcome.result] == serial
+class TestParallelSelect:
+    def test_results_equal_serial(self, db):
+        for query in ("SELECT ALL FROM item WHERE grp = 1 ORDER BY n",
+                      "SELECT ALL FROM item ORDER BY grp, n LIMIT 7"):
+            serial = [(m.atom["grp"], m.atom["n"]) for m in db.query(query)]
+            outcome = db.parallel_select(query, processors=3)
+            assert [(m.atom["grp"], m.atom["n"])
+                    for m in outcome.result] == serial, query
+        outcome = db.parallel_select("SELECT ALL FROM item WHERE grp = 1 "
+                                     "ORDER BY n", processors=3)
+        assert [m.atom["n"] for m in outcome.result] == \
+            [n for n in range(N_ITEMS) if n % GROUPS == 1]

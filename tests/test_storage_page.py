@@ -220,3 +220,110 @@ class TestDecodedMemo:
         restored = Page.__new__(Page)
         restored.__setstate__((None, {"data": bytearray(page.data)}))
         assert restored.decoded(slot, bytes.decode) == ("abc", 3)
+
+
+def _rederived(page: Page) -> Page:
+    """A page object over a copy of ``page``'s image, as a reload sees it."""
+    return Page(bytearray(page.data))
+
+
+class TestDirectorySummary:
+    """Tombstone reuse and the free-after-compaction figure come from the
+    page image, stay current under every record operation, and cost no
+    per-insert walk of the slot directory."""
+
+    def _count_entry_reads(self, monkeypatch) -> list[int]:
+        reads = [0]
+        slot = Page._slot
+        directory = getattr(Page, "_directory", None)
+
+        def counting_slot(self, index):
+            reads[0] += 1
+            return slot(self, index)
+
+        def counting_directory(self):
+            reads[0] += self.slot_count
+            return directory(self)
+
+        monkeypatch.setattr(Page, "_slot", counting_slot)
+        if directory is not None:
+            monkeypatch.setattr(Page, "_directory", counting_directory)
+        return reads
+
+    def test_filling_a_page_reads_each_slot_entry_at_most_once(
+            self, monkeypatch):
+        reads = self._count_entry_reads(monkeypatch)
+        page = Page.format(8192, page_no=1)
+        inserted = 0
+        while page.space_for(16):
+            page.insert(b"r" * 16)
+            inserted += 1
+        assert inserted > 300
+        assert reads[0] <= inserted
+
+    def test_filling_a_reloaded_page_reads_its_directory_once(
+            self, monkeypatch):
+        page = Page.format(8192, page_no=1)
+        for _ in range(200):
+            page.insert(b"r" * 16)
+        clone = Page.from_bytes(page.to_bytes())
+        reads = self._count_entry_reads(monkeypatch)
+        for _ in range(100):
+            clone.insert(b"s" * 16)
+        assert reads[0] <= 200 + 100
+
+    def test_tombstones_reused_lowest_first(self, page):
+        for i in range(5):
+            page.insert(bytes([i]) * 10)
+        page.delete(3)
+        page.delete(1)
+        assert [page.insert(b"n") for _ in range(3)] == [1, 3, 5]
+
+    def test_tombstones_survive_a_reload(self, page):
+        for i in range(5):
+            page.insert(bytes([i]) * 10)
+        page.delete(4)
+        page.delete(2)
+        clone = Page.from_bytes(page.to_bytes())
+        assert [clone.insert(b"n") for _ in range(3)] == [2, 4, 5]
+
+    def test_free_after_compaction_counts_every_hole(self, page):
+        for i in range(4):
+            page.insert(bytes([i]) * 40)
+        contiguous = page.free_space
+        page.delete(0)
+        page.delete(2)
+        page.update(3, b"x" * 10)       # shrinks in place: a 30-byte hole
+        assert page.free_space == contiguous
+        assert page.free_after_compaction == contiguous + 40 + 40 + 30
+
+    def test_summary_matches_the_image_after_every_operation(self, page):
+        def check():
+            fresh = _rederived(page)
+            assert page.free_after_compaction == \
+                fresh.free_after_compaction
+            fresh._compact()
+            assert fresh.free_space == page.free_after_compaction
+
+        for i in range(8):
+            page.insert(bytes([i]) * 30)
+            check()
+        page.delete(5)
+        check()
+        page.delete(2)
+        check()
+        page.update(0, b"s" * 5)              # shrink in place
+        check()
+        page.update(1, b"g" * 80)             # grow: relocates
+        check()
+        with pytest.raises(PageOverflowError):
+            page.update(3, b"h" * 600)        # fails, record kept
+        check()
+        page._compact()
+        check()
+        assert page.insert(b"r" * 30) == 2    # lowest tombstone first
+        check()
+        assert page.insert(b"r" * 30) == 5
+        check()
+        page.write_payload(b"raw")
+        check()
