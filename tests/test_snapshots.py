@@ -362,15 +362,26 @@ class TestRemoteExplain:
 # Semantic decomposition over the same relation
 # ---------------------------------------------------------------------------
 
-class TestParallelSelect:
-    def test_results_equal_serial(self, db):
-        for query in ("SELECT ALL FROM item WHERE grp = 1 ORDER BY n",
-                      "SELECT ALL FROM item ORDER BY grp, n LIMIT 7"):
-            serial = [(m.atom["grp"], m.atom["n"]) for m in db.query(query)]
-            outcome = db.parallel_select(query, processors=3)
-            assert [(m.atom["grp"], m.atom["n"])
-                    for m in outcome.result] == serial, query
-        outcome = db.parallel_select("SELECT ALL FROM item WHERE grp = 1 "
-                                     "ORDER BY n", processors=3)
-        assert [m.atom["n"] for m in outcome.result] == \
-            [n for n in range(N_ITEMS) if n % GROUPS == 1]
+class TestProcessParallel:
+    """``parallel_select`` returns the serial pipeline's molecules, in
+    order, on the relation the serving tests above share."""
+
+    QUERY = "SELECT ALL FROM item WHERE grp = 1 ORDER BY n"
+
+    def test_modes_produce_identical_results(self, db):
+        serial = [m.atom["n"] for m in db.query(self.QUERY)]
+        outcome = db.parallel_select(self.QUERY, processors=3)
+        assert [m.atom["n"] for m in outcome.result] == serial
+
+    def test_parallel_query_inside_session_process_mode(self, db, manager):
+        with repro.connect(manager):
+            outcome = db.parallel_select(self.QUERY, processors=3)
+            rows = [m.atom["n"] for m in outcome.result]
+        assert rows == [n for n in range(N_ITEMS) if n % GROUPS == 1]
+
+    def test_process_pool_with_topk_window(self, db):
+        query = "SELECT ALL FROM item ORDER BY grp, n LIMIT 7"
+        serial = [(m.atom["grp"], m.atom["n"]) for m in db.query(query)]
+        outcome = db.parallel_select(query, processors=4)
+        assert [(m.atom["grp"], m.atom["n"])
+                for m in outcome.result] == serial
